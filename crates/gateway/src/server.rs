@@ -56,7 +56,7 @@
 //! are held by `reactors + tuner` threads total.
 //!
 //! `?wait=1` submits never park the reactor: the job goes to the tuner pool
-//! with a completion hook ([`TuningService::submit_with_notify`]) that wakes
+//! with a completion hook ([`TuningService::submit_observed`]) that wakes
 //! the owning reactor when the outcome is readable, and the response is
 //! rendered then. Pipelined requests behind a dispatched one wait in the
 //! read buffer so responses keep request order.
@@ -1511,54 +1511,36 @@ fn post_job(
     // trace flushes when the last handle drops — after persist, off the
     // submitter's latency path.
     let dispatch_start = trace.as_ref().map(|active| active.now_ns());
+    // Waiting mode hands the job to the tuner pool with a completion hook;
+    // the reactor renders the response when it fires. The connection
+    // parks — no thread does.
+    let handle = match state
+        .service
+        .submit_observed(job, wait.then(notify), trace.clone())
+    {
+        Ok(handle) => handle,
+        Err(e) => {
+            gateway_span(&trace, "gateway.dispatch", dispatch_start, false);
+            return finish_post(&trace, &echo, serve_error_response(&e));
+        }
+    };
+    let job_id = handle.job_id;
+    if let Some(active) = &trace {
+        active.span_with(
+            "gateway.dispatch",
+            None,
+            dispatch_start.unwrap_or(0),
+            active.now_ns(),
+            SpanStatus::Ok,
+            vec![("job_id", AttrValue::U64(job_id))],
+        );
+    }
     if wait {
-        // Waiting mode: hand the job to the tuner pool with a completion
-        // hook; the reactor renders the response when it fires. The
-        // connection parks — no thread does.
-        match state
-            .service
-            .submit_observed(job, Some(notify()), trace.clone())
-        {
-            Ok(handle) => {
-                if let Some(active) = &trace {
-                    active.span_with(
-                        "gateway.dispatch",
-                        None,
-                        dispatch_start.unwrap_or(0),
-                        active.now_ns(),
-                        SpanStatus::Ok,
-                        vec![("job_id", AttrValue::U64(handle.job_id))],
-                    );
-                }
-                PostOutcome::Dispatched {
-                    handle,
-                    traceparent: echo,
-                }
-            }
-            Err(e) => {
-                gateway_span(&trace, "gateway.dispatch", dispatch_start, false);
-                finish_post(&trace, &echo, serve_error_response(&e))
-            }
+        PostOutcome::Dispatched {
+            handle,
+            traceparent: echo,
         }
     } else {
-        let handle = match state.service.submit_observed(job, None, trace.clone()) {
-            Ok(handle) => handle,
-            Err(e) => {
-                gateway_span(&trace, "gateway.dispatch", dispatch_start, false);
-                return finish_post(&trace, &echo, serve_error_response(&e));
-            }
-        };
-        let job_id = handle.job_id;
-        if let Some(active) = &trace {
-            active.span_with(
-                "gateway.dispatch",
-                None,
-                dispatch_start.unwrap_or(0),
-                active.now_ns(),
-                SpanStatus::Ok,
-                vec![("job_id", AttrValue::U64(job_id))],
-            );
-        }
         let mut jobs = state.jobs.lock().expect("gateway job registry poisoned");
         jobs.store_pending(job_id, handle);
         drop(jobs);
@@ -1678,7 +1660,7 @@ fn get_slowest(state: &GatewayState) -> Response {
 /// `GET /v1/debug/traces`: summaries of sampled traces, newest first.
 /// Optional query filters: `tenant`, `market`, `scenario`, `status`
 /// (`ok`/`error`), `sampled` (`head`/`tail_slow`/`tail_error`), and
-/// `min_duration_ms`. With tracing disabled the list is simply empty.
+/// `min_duration_ms`. With telemetry off the list is simply empty.
 fn get_traces(state: &GatewayState, request: &Request) -> Response {
     let min_duration_ns = match request.query_param("min_duration_ms") {
         Some(raw) => match raw.parse::<u64>() {

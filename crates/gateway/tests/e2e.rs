@@ -747,17 +747,20 @@ fn observability_endpoints_over_http() {
 fn metrics_expose_store_backpressure_drops() {
     let dir = scratch_dir("metrics-dropped");
     let service = Arc::new(
-        TuningService::recover_with(
+        TuningService::boot(
             ServiceConfig {
                 workers: 2,
                 ..ServiceConfig::default()
             },
-            &dir,
-            StoreOptions {
-                queue_capacity: 1,
-                fsync: FsyncPolicy::Off,
-                ..StoreOptions::default()
-            },
+            None,
+            Some((
+                &dir,
+                StoreOptions {
+                    queue_capacity: 1,
+                    fsync: FsyncPolicy::Off,
+                    ..StoreOptions::default()
+                },
+            )),
         )
         .expect("open durable service"),
     );

@@ -10,7 +10,10 @@ use std::sync::Arc;
 
 /// A monotone non-decreasing counter. The only mutators are [`Counter::inc`]
 /// and [`Counter::add`]; there is deliberately no reset, so any single
-/// counter read is monotone across scrapes.
+/// counter read is monotone across scrapes. Increments release and reads
+/// acquire: a reader that sees an increment also sees every counter
+/// increment that happened before it, which is what lets a scrape read
+/// "parts" before their "whole" without tearing.
 #[derive(Clone, Debug, Default)]
 pub struct Counter {
     value: Arc<AtomicU64>,
@@ -24,17 +27,17 @@ impl Counter {
 
     /// Adds one.
     pub fn inc(&self) {
-        self.value.fetch_add(1, Ordering::Relaxed);
+        self.value.fetch_add(1, Ordering::Release);
     }
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Release);
     }
 
-    /// Current value (relaxed load).
+    /// Current value.
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.value.load(Ordering::Acquire)
     }
 }
 

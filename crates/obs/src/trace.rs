@@ -20,7 +20,7 @@
 //! load when the new trace is too fast to qualify; only qualifying traces
 //! take the ring's mutex.
 //!
-//! When causal tracing is on, the span tree is the primary record:
+//! When the service's telemetry is on, the span tree is the primary record:
 //! [`JobTrace::record_spans`] renders the stamps as spans into an
 //! [`ActiveTrace`], and [`JobTrace::from_spans`] reconstructs the stamp
 //! view from a stored span tree — the two are round-trip equal, so there is

@@ -11,6 +11,7 @@
 //! [`AdmissionError`] immediately — shedding load at the door is cheaper
 //! than timing out deep in the queue.
 
+use crowdtune_obs::Counter;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::{Condvar, Mutex};
@@ -80,11 +81,15 @@ pub struct JobQueue<T> {
     inner: Mutex<Lanes<T>>,
     ready: Condvar,
     policy: AdmissionPolicy,
+    /// Bumped under the lock for every accepted job, so the count always
+    /// precedes whatever a worker records after popping that job.
+    admitted: Counter,
 }
 
 impl<T> JobQueue<T> {
-    /// Creates an empty queue with the given admission policy.
-    pub fn new(policy: AdmissionPolicy) -> Self {
+    /// Creates an empty queue with the given admission policy; `admitted`
+    /// counts every job the queue accepts.
+    pub fn new(policy: AdmissionPolicy, admitted: Counter) -> Self {
         JobQueue {
             inner: Mutex::new(Lanes {
                 lanes: HashMap::new(),
@@ -94,6 +99,7 @@ impl<T> JobQueue<T> {
             }),
             ready: Condvar::new(),
             policy,
+            admitted,
         }
     }
 
@@ -124,6 +130,7 @@ impl<T> JobQueue<T> {
             inner.ring.push_back(tenant.to_owned());
         }
         inner.pending += 1;
+        self.admitted.inc();
         drop(inner);
         self.ready.notify_one();
         Ok(())
@@ -189,10 +196,13 @@ mod tests {
     use std::sync::Arc;
 
     fn queue(max_pending: usize, per_tenant: usize) -> JobQueue<u32> {
-        JobQueue::new(AdmissionPolicy {
-            max_pending,
-            max_pending_per_tenant: per_tenant,
-        })
+        JobQueue::new(
+            AdmissionPolicy {
+                max_pending,
+                max_pending_per_tenant: per_tenant,
+            },
+            Counter::new(),
+        )
     }
 
     #[test]

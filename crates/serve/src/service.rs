@@ -15,7 +15,7 @@ use crate::health::{HealthSignals, HealthState};
 use crate::queue::{AdmissionError, AdmissionPolicy, JobQueue};
 use crate::retuner::{RetunePolicy, Retuner};
 use crate::router::{MarketRouter, RoutedPlan};
-use crate::store::{JournalRecord, PlanStore, StoreError, StoreOptions, StoreSnapshot, StoreStats};
+use crate::store::{JournalRecord, PlanStore, StoreError, StoreOptions, StoreStats};
 use crowdtune_core::algorithms::MAX_TABLE_PAYMENT;
 use crowdtune_core::error::CoreError;
 use crowdtune_core::market::MarketId;
@@ -26,16 +26,17 @@ use crowdtune_core::task::TaskSet;
 use crowdtune_core::tuner::{StrategyChoice, TunedPlan, Tuner};
 use crowdtune_market::MarketRegistry;
 use crowdtune_obs::{
-    ActiveTrace, Counter, Gauge, Histogram, JobTrace, LogLevel, Logger, LoggerConfig, Registry,
-    SlowestRing, TraceContext, Tracer, TracerConfig,
+    ActiveTrace, AttrValue, Counter, Gauge, Histogram, JobTrace, LogLevel, Logger, LoggerConfig,
+    Registry, SlowestRing, SpanStatus, Tracer, TracerConfig,
 };
+use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One tuning job as submitted by a tenant.
 #[derive(Clone)]
@@ -175,11 +176,13 @@ pub struct JobHandle {
     /// Service-assigned job id.
     pub job_id: u64,
     receiver: mpsc::Receiver<Result<ServedPlan, ServeError>>,
+    /// Set once [`JobHandle::try_result`] has handed out the outcome.
+    delivered: Cell<bool>,
 }
 
 /// A completion hook for event-driven front-ends: invoked with the job id
 /// exactly once, after the outcome is deliverable via
-/// [`JobHandle::try_result`]. See [`TuningService::submit_with_notify`].
+/// [`JobHandle::try_result`]. See [`TuningService::submit_observed`].
 pub type CompletionNotify = Arc<dyn Fn(u64) + Send + Sync>;
 
 /// Fires the completion hook exactly once — normally right after the worker
@@ -215,13 +218,19 @@ impl JobHandle {
     /// Non-blocking poll: `None` while the job is still in flight, the
     /// outcome once a worker delivered it. The outcome is delivered **once**
     /// — a transport front-end polling on behalf of a client must retain it;
-    /// a later call reports [`ServeError::WorkerGone`].
+    /// a later call reports [`ServeError::WorkerGone`], whether or not the
+    /// worker still holds its end of the channel.
     pub fn try_result(&self) -> Option<Result<ServedPlan, ServeError>> {
-        match self.receiver.try_recv() {
-            Ok(outcome) => Some(outcome),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::WorkerGone)),
+        if self.delivered.get() {
+            return Some(Err(ServeError::WorkerGone));
         }
+        let outcome = match self.receiver.try_recv() {
+            Ok(outcome) => outcome,
+            Err(mpsc::TryRecvError::Empty) => return None,
+            Err(mpsc::TryRecvError::Disconnected) => Err(ServeError::WorkerGone),
+        };
+        self.delivered.set(true);
+        Some(outcome)
     }
 }
 
@@ -240,21 +249,15 @@ pub struct ServiceConfig {
     /// attached, evicted families remain rehydratable from their persisted
     /// snapshots).
     pub family_shards: usize,
-    /// Whether the telemetry spine records (stage stamps, per-stage
-    /// histograms, the slowest-trace ring). On by default; switched off only
-    /// by the instrumentation-overhead benchmark guard. Counters and the
-    /// registry itself stay live either way — they are the same cells the
-    /// legacy stats snapshots read.
+    /// Whether the telemetry spine records: stage stamps, per-stage
+    /// histograms, the slowest-trace ring and causal span trees (every job
+    /// accumulates spans into an [`ActiveTrace`]; the [`Tracer`]'s head/tail
+    /// sampling decides at completion whether the tree is kept — see
+    /// [`TuningService::tracer`]). On by default; switched off only by the
+    /// instrumentation-overhead benchmark guard. Counters and the registry
+    /// itself stay live either way — they are the same cells the legacy
+    /// stats snapshots read.
     pub telemetry: bool,
-    /// Completed traces retained by the slowest-trace ring
-    /// (see [`TuningService::slowest_traces`]).
-    pub slowest_capacity: usize,
-    /// Whether causal request tracing records span trees (requires
-    /// `telemetry`; the effective setting is `telemetry && tracing`). With
-    /// tracing on, every job accumulates spans into an [`ActiveTrace`] and
-    /// the [`Tracer`]'s head/tail sampling decides at completion whether the
-    /// tree is kept (see [`TuningService::tracer`]).
-    pub tracing: bool,
     /// Sampling and capacity policy of the tracer (head-sample rate, slow
     /// threshold, span-store ring size).
     pub tracing_config: TracerConfig,
@@ -262,12 +265,6 @@ pub struct ServiceConfig {
     /// logger is always live (its counters are part of the exposition
     /// contract); the level floor and rate limit bound its cost.
     pub logging: LoggerConfig,
-    /// Whether re-tuners built via [`TuningService::retuner`] auto-feed
-    /// their acceptance observations into the service's
-    /// [`MarketRegistry`] drift detector, so confirmed drift on a served
-    /// job's own repetitions becomes registry evidence without manual
-    /// wiring.
-    pub feed_drift_evidence: bool,
 }
 
 impl Default for ServiceConfig {
@@ -281,11 +278,8 @@ impl Default for ServiceConfig {
             cache_capacity_per_shard: 512,
             family_shards: 8,
             telemetry: true,
-            slowest_capacity: 32,
-            tracing: true,
             tracing_config: TracerConfig::default(),
             logging: LoggerConfig::default(),
-            feed_drift_evidence: true,
         }
     }
 }
@@ -418,22 +412,24 @@ fn stage_family(
         .collect()
 }
 
+/// Completed traces retained by the slowest-trace ring
+/// (see [`TuningService::slowest_traces`]).
+const SLOWEST_CAPACITY: usize = 32;
+
 /// The service's telemetry spine: the registry every layer publishes into,
-/// the per-stage histograms, and the slowest-trace ring. With `enabled ==
-/// false` every stamp helper returns 0 and per-job recording is skipped —
-/// the hot path pays one branch (the overhead-guard configuration).
+/// the per-stage histograms, the slowest-trace ring and the tracer. With
+/// telemetry off there is no tracer, every stamp helper returns 0 and
+/// per-job recording is skipped — the hot path pays one branch (the
+/// overhead-guard configuration).
 struct Telemetry {
-    enabled: bool,
-    /// Epoch for every [`JobTrace`] stamp taken by this service.
-    epoch: Instant,
     registry: Arc<Registry>,
     /// Market names in registry order; the market axis of every stage
     /// histogram family is indexed by position in this list.
     market_names: Vec<String>,
     stage: StageHists,
     slowest: SlowestRing,
-    /// The causal-tracing engine; `None` when telemetry or tracing is off —
-    /// the hot path then pays exactly what it paid before spans existed.
+    /// The causal-tracing engine and the clock of every [`JobTrace`] stamp;
+    /// `None` exactly when telemetry is off.
     tracer: Option<Arc<Tracer>>,
     /// The structured JSON-lines logger (always live; level floor and rate
     /// limit bound its cost).
@@ -526,15 +522,14 @@ impl Telemetry {
             "Tuner worker threads currently alive.",
             &[],
         );
-        let tracer = (config.telemetry && config.tracing)
+        let tracer = config
+            .telemetry
             .then(|| Tracer::new(&registry, config.tracing_config));
         let logger = Logger::new(&registry, config.logging);
         Telemetry {
-            enabled: config.telemetry,
-            epoch: Instant::now(),
             market_names,
             stage,
-            slowest: SlowestRing::new(config.slowest_capacity),
+            slowest: SlowestRing::new(SLOWEST_CAPACITY),
             tracer,
             logger,
             pending_gauge,
@@ -548,19 +543,17 @@ impl Telemetry {
         }
     }
 
-    /// Nanoseconds since the service epoch — 0 when telemetry is off (a
-    /// zero stamp marks "not recorded" in a [`JobTrace`]). With tracing on,
-    /// the tracer's epoch is the service epoch, so stage stamps and span
-    /// boundaries live on one clock and [`JobTrace::record_spans`] can reuse
+    /// Whether per-job recording is on (see [`ServiceConfig::telemetry`]).
+    fn enabled(&self) -> bool {
+        self.tracer.is_some()
+    }
+
+    /// Nanoseconds on the tracer's clock — 0 when telemetry is off (a zero
+    /// stamp marks "not recorded" in a [`JobTrace`]). Stage stamps and span
+    /// boundaries live on one clock, so [`JobTrace::record_spans`] can reuse
     /// the stamps verbatim.
     fn now_ns(&self) -> u64 {
-        if !self.enabled {
-            return 0;
-        }
-        match &self.tracer {
-            Some(tracer) => tracer.now_ns(),
-            None => self.epoch.elapsed().as_nanos() as u64,
-        }
+        self.tracer.as_ref().map_or(0, |tracer| tracer.now_ns())
     }
 
     /// Histogram indices for a labelled trace; `None` when telemetry was
@@ -649,8 +642,8 @@ struct QueuedJob {
     /// Stage stamps accumulated as the job moves through the pipeline
     /// (all zero when telemetry is off).
     trace: JobTrace,
-    /// The live causal trace the job's spans join (`None` when tracing is
-    /// off). Either minted at submit (in-process callers) or handed in by
+    /// The live causal trace the job's spans join (`None` when telemetry
+    /// is off). Either minted at submit (in-process callers) or handed in by
     /// the transport front-end so the job span tree lands in the request's
     /// own trace.
     span: Option<ActiveTrace>,
@@ -795,7 +788,6 @@ pub struct TuningService {
     live_workers: Arc<AtomicUsize>,
     worker_target: usize,
     admission: AdmissionPolicy,
-    feed_drift_evidence: bool,
     next_job_id: AtomicU64,
     draining: AtomicBool,
 }
@@ -804,23 +796,7 @@ impl TuningService {
     /// Starts the worker pool with in-memory state only (no durability —
     /// restarts re-solve the working set) on a single default market.
     pub fn start(config: ServiceConfig) -> Self {
-        Self::boot(config, None, Self::default_markets())
-    }
-
-    /// [`TuningService::start`] against an explicit market registry: every
-    /// job names one of its markets, fingerprints and journal records carry
-    /// the market id, and the cross-market [`MarketRouter`] solves against
-    /// each market's belief.
-    pub fn start_with_markets(config: ServiceConfig, markets: Arc<MarketRegistry>) -> Self {
-        Self::boot(config, None, markets)
-    }
-
-    /// The registry a service runs when none is supplied: one default
-    /// market. Its placeholder belief is never consulted on the serve path
-    /// (jobs carry their own rate model); it only matters to the router,
-    /// where a single market degenerates to plain tuning anyway.
-    fn default_markets() -> Arc<MarketRegistry> {
-        Arc::new(MarketRegistry::single(Arc::new(LinearRate::unit_slope())))
+        Self::boot(config, None, None).expect("an in-memory start opens no store")
     }
 
     /// Starts the worker pool against a durable store directory, recovering
@@ -834,38 +810,37 @@ impl TuningService {
     /// recovery never serves a wrong plan. Damage counts are reported via
     /// [`TuningService::recovery_stats`].
     pub fn recover(config: ServiceConfig, path: impl AsRef<Path>) -> Result<Self, ServeError> {
-        Self::recover_with(config, path, StoreOptions::default())
+        Self::boot(config, None, Some((path.as_ref(), StoreOptions::default())))
     }
 
-    /// [`TuningService::recover`] with explicit [`StoreOptions`] (write-behind
-    /// queue bound, fsync policy).
-    pub fn recover_with(
+    /// The general constructor behind [`TuningService::start`] and
+    /// [`TuningService::recover`].
+    ///
+    /// `markets` is the registry every job names one of: fingerprints and
+    /// journal records carry the market id, and the cross-market
+    /// [`MarketRouter`] solves against each market's belief. `None` runs one
+    /// default market, whose placeholder belief is never consulted on the
+    /// serve path (jobs carry their own rate model).
+    ///
+    /// `store` is a durable store directory plus its [`StoreOptions`]
+    /// (write-behind queue bound, fsync policy), recovered as
+    /// [`TuningService::recover`] describes; `None` keeps all state in
+    /// memory. Journals written before markets existed replay onto the
+    /// default market (their records decode to [`MarketId::DEFAULT`]).
+    pub fn boot(
         config: ServiceConfig,
-        path: impl AsRef<Path>,
-        options: StoreOptions,
+        markets: Option<Arc<MarketRegistry>>,
+        store: Option<(&Path, StoreOptions)>,
     ) -> Result<Self, ServeError> {
-        Self::recover_with_markets(config, path, options, Self::default_markets())
-    }
-
-    /// [`TuningService::recover_with`] against an explicit market registry.
-    /// Journals written before markets existed replay onto the default
-    /// market (their records decode to [`MarketId::DEFAULT`]).
-    pub fn recover_with_markets(
-        config: ServiceConfig,
-        path: impl AsRef<Path>,
-        options: StoreOptions,
-        markets: Arc<MarketRegistry>,
-    ) -> Result<Self, ServeError> {
-        let (store, snapshot) = PlanStore::open_with(path, options)?;
-        Ok(Self::boot(config, Some((store, snapshot)), markets))
-    }
-
-    fn boot(
-        config: ServiceConfig,
-        durable: Option<(Arc<PlanStore>, StoreSnapshot)>,
-        markets: Arc<MarketRegistry>,
-    ) -> Self {
-        let queue = Arc::new(JobQueue::new(config.admission));
+        let durable = match store {
+            Some((path, options)) => Some(PlanStore::open_with(path, options)?),
+            None => None,
+        };
+        let markets = markets.unwrap_or_else(|| {
+            Arc::new(MarketRegistry::single(Arc::new(LinearRate::unit_slope())))
+        });
+        let metrics = Arc::new(ServiceMetrics::default());
+        let queue = Arc::new(JobQueue::new(config.admission, metrics.submitted.clone()));
         let cache = Arc::new(PlanCache::new(
             config.cache_shards,
             config.cache_capacity_per_shard,
@@ -919,7 +894,6 @@ impl TuningService {
             }
             None => (Arc::new(PlanFamilies::new(config.family_shards)), None),
         };
-        let metrics = Arc::new(ServiceMetrics::default());
         // One registry for the whole process; every layer registers the
         // cells its legacy stats snapshot reads, so a scrape and a snapshot
         // can never disagree. Registration order is the scrape contract —
@@ -978,7 +952,6 @@ impl TuningService {
             live_workers,
             worker_target,
             admission: config.admission,
-            feed_drift_evidence: config.feed_drift_evidence,
             next_job_id: AtomicU64::new(next_job_id),
             draining: AtomicBool::new(false),
         };
@@ -1014,7 +987,7 @@ impl TuningService {
             });
             // `journaled: true` — completion (or terminal failure) must
             // retire the on-disk record.
-            let span = service.start_job_trace(None);
+            let span = service.start_job_trace();
             match service.enqueue_job(job.job_id, request, true, 0, None, span) {
                 Ok(_handle) => replayed += 1,
                 Err(_) => dropped += 1,
@@ -1025,7 +998,7 @@ impl TuningService {
             stats.dropped_replays = dropped;
             stats.quarantined = quarantined;
         }
-        service
+        Ok(service)
     }
 
     /// Submits a job; returns immediately with a handle (or an admission
@@ -1033,76 +1006,35 @@ impl TuningService {
     /// jobs whose rate model is serializable are journaled for crash
     /// recovery.
     pub fn submit(&self, request: JobRequest) -> Result<JobHandle, ServeError> {
-        let trace = self.start_job_trace(None);
-        self.submit_inner(request, None, trace)
+        self.submit_observed(request, None, None)
     }
 
-    /// [`TuningService::submit`] under an explicit trace context: the job's
-    /// span tree joins the caller's trace (its id, its parent span, its
-    /// sampled flag — the in-process equivalent of sending a `traceparent`
-    /// header to the gateway). With `None` a fresh trace is minted exactly
-    /// as `submit` does. A no-op distinction when tracing is off.
-    pub fn submit_traced(
-        &self,
-        request: JobRequest,
-        context: Option<TraceContext>,
-    ) -> Result<JobHandle, ServeError> {
-        let trace = self.start_job_trace(context);
-        self.submit_inner(request, None, trace)
-    }
-
-    /// Like [`TuningService::submit`], but additionally registers a
-    /// completion hook: `notify` is invoked with the job id exactly once,
-    /// *after* the outcome becomes readable via [`JobHandle::try_result`].
-    /// This is the non-blocking integration point for event-driven
-    /// front-ends (the gateway's reactor): instead of parking a thread in
+    /// The general submit: [`TuningService::submit`] plus an optional
+    /// completion hook and an optional **live** trace handle.
+    ///
+    /// `notify` is invoked with the job id exactly once, *after* the outcome
+    /// becomes readable via [`JobHandle::try_result`]. This is the
+    /// non-blocking integration point for event-driven front-ends (the
+    /// gateway's reactor): instead of parking a thread in
     /// [`JobHandle::wait`] per pending job, the front-end polls
     /// `try_result` only when the hook fires. The hook also fires if the
     /// job is discarded unserved (drain, teardown) — `try_result` then
     /// reports [`ServeError::WorkerGone`] — so an event loop is never left
     /// waiting on a notification that cannot come. The hook runs on a
     /// worker (or teardown) thread: it must be cheap and must not block.
-    pub fn submit_with_notify(
-        &self,
-        request: JobRequest,
-        notify: CompletionNotify,
-    ) -> Result<JobHandle, ServeError> {
-        let trace = self.start_job_trace(None);
-        self.submit_inner(request, Some(notify), trace)
-    }
-
-    /// The fully-observed submit: an optional completion hook plus an
-    /// optional **live** trace handle. A transport front-end that already
-    /// opened a trace for the request (the gateway's `http.request` root)
-    /// passes its handle here so the job's spans — queue wait, solve,
-    /// store persist — land in the request's own span tree instead of a
-    /// service-minted one.
+    ///
+    /// `trace` is a trace the caller already opened (the gateway's
+    /// `http.request` root, or one started from [`TuningService::tracer`]
+    /// under a caller's [`TraceContext`](crowdtune_obs::TraceContext)): the
+    /// job's spans — queue wait, solve, store persist — land in that tree.
+    /// With `None` the service mints a fresh trace.
     pub fn submit_observed(
         &self,
         request: JobRequest,
         notify: Option<CompletionNotify>,
         trace: Option<ActiveTrace>,
     ) -> Result<JobHandle, ServeError> {
-        let trace = trace.or_else(|| self.start_job_trace(None));
-        self.submit_inner(request, notify, trace)
-    }
-
-    /// Mints the job's [`ActiveTrace`] when tracing is on: fresh ids (and
-    /// the every-Nth head-sampling decision), or the caller's ids when an
-    /// explicit context is handed in.
-    fn start_job_trace(&self, context: Option<TraceContext>) -> Option<ActiveTrace> {
-        self.telemetry
-            .tracer
-            .as_ref()
-            .map(|tracer| tracer.start_trace("job.submit", context))
-    }
-
-    fn submit_inner(
-        &self,
-        request: JobRequest,
-        notify: Option<CompletionNotify>,
-        span: Option<ActiveTrace>,
-    ) -> Result<JobHandle, ServeError> {
+        let span = trace.or_else(|| self.start_job_trace());
         // A draining service sheds at the door — before journaling, so the
         // refusal costs neither a journal record nor its retirement.
         if self.is_draining() {
@@ -1179,6 +1111,15 @@ impl TuningService {
         }
     }
 
+    /// Mints a fresh job [`ActiveTrace`] (and the every-Nth head-sampling
+    /// decision) when telemetry is on.
+    fn start_job_trace(&self) -> Option<ActiveTrace> {
+        self.telemetry
+            .tracer
+            .as_ref()
+            .map(|tracer| tracer.start_trace("job.submit", None))
+    }
+
     /// Queue insertion shared by [`TuningService::submit`] and journal
     /// replay (which must not re-journal its `Submitted` record).
     fn enqueue_job(
@@ -1192,7 +1133,7 @@ impl TuningService {
     ) -> Result<JobHandle, ServeError> {
         let (sender, receiver) = mpsc::channel();
         let tenant = request.tenant.clone();
-        let trace = if self.telemetry.enabled {
+        let trace = if self.telemetry.enabled() {
             let enqueued_ns = self.telemetry.now_ns();
             JobTrace {
                 job_id: id,
@@ -1225,14 +1166,14 @@ impl TuningService {
             trace,
             span,
         };
+        // The queue bumps `submitted` under its lock, before any worker can
+        // pop the job and count its answer (the scrape contract).
         match self.queue.submit(&tenant, job) {
-            Ok(()) => {
-                self.metrics.submitted.inc();
-                Ok(JobHandle {
-                    job_id: id,
-                    receiver,
-                })
-            }
+            Ok(()) => Ok(JobHandle {
+                job_id: id,
+                receiver,
+                delivered: Cell::new(false),
+            }),
             Err(e) => {
                 self.metrics.rejected.inc();
                 Err(e.into())
@@ -1258,15 +1199,16 @@ impl TuningService {
     /// Routes a job across markets (see [`MarketRouter::route`]): splits
     /// its task groups over the registered markets when the assembled
     /// frontier beats every single-market tune, and falls back to plain
-    /// single-market tuning otherwise. When tracing is on, the decision is
+    /// single-market tuning otherwise. With telemetry on, the decision is
     /// recorded as a `router.split` span under a `router.route` trace.
     pub fn route(&self, task_set: &TaskSet, budget: Budget) -> Result<RoutedPlan, ServeError> {
         let trace = self
             .tracer()
             .map(|tracer| tracer.start_trace("router.route", None));
-        let start_ns = trace.as_ref().map(|active| active.now_ns());
+        let start_ns = self.telemetry.now_ns();
         let routed = self.router.route(task_set, budget);
-        if let (Some(active), Some(start_ns)) = (&trace, start_ns) {
+        if let Some(active) = &trace {
+            // An `Error` span also marks the trace errored (tail-sampled).
             let (status, attrs) = match &routed {
                 Ok(plan) => {
                     let markets = match plan {
@@ -1274,18 +1216,15 @@ impl TuningService {
                         RoutedPlan::Single { .. } => 1,
                     };
                     (
-                        crowdtune_obs::SpanStatus::Ok,
+                        SpanStatus::Ok,
                         vec![
-                            ("is_split", crowdtune_obs::AttrValue::Bool(plan.is_split())),
-                            ("markets", crowdtune_obs::AttrValue::U64(markets)),
+                            ("is_split", AttrValue::Bool(plan.is_split())),
+                            ("markets", AttrValue::U64(markets)),
                         ],
                     )
                 }
-                Err(_) => (crowdtune_obs::SpanStatus::Error, Vec::new()),
+                Err(_) => (SpanStatus::Error, Vec::new()),
             };
-            if routed.is_err() {
-                active.mark_error();
-            }
             active.span_with(
                 "router.split",
                 None,
@@ -1342,7 +1281,7 @@ impl TuningService {
     /// Whether the per-job telemetry spine is recording
     /// (see [`ServiceConfig::telemetry`]).
     pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.enabled
+        self.telemetry.enabled()
     }
 
     /// Renders the registry as Prometheus text exposition format v0.0.4,
@@ -1384,11 +1323,11 @@ impl TuningService {
         self.telemetry.slowest.snapshot()
     }
 
-    /// The causal-tracing engine, when tracing is on: the span clock, the
-    /// sampling policy and the ring of kept traces behind
-    /// `GET /v1/debug/traces`. A transport front-end starts its request
-    /// roots here and hands the live handles to
-    /// [`TuningService::submit_observed`].
+    /// The causal-tracing engine: the span clock, the sampling policy and
+    /// the ring of kept traces behind `GET /v1/debug/traces`. A transport
+    /// front-end starts its request roots here and hands the live handles
+    /// to [`TuningService::submit_observed`]. `None` exactly when telemetry
+    /// is off.
     pub fn tracer(&self) -> Option<Arc<Tracer>> {
         self.telemetry.tracer.clone()
     }
@@ -1400,12 +1339,11 @@ impl TuningService {
         self.telemetry.logger.clone()
     }
 
-    /// Builds an online [`Retuner`] for a job served against `market`. With
-    /// [`ServiceConfig::feed_drift_evidence`] on, the re-tuner's acceptance
-    /// observations are forwarded into this service's [`MarketRegistry`]
-    /// drift detector as they arrive — the evidence that re-tunes the job
-    /// also accumulates toward registry-level confirmed drift, with no
-    /// manual `observe_acceptance` wiring.
+    /// Builds an online [`Retuner`] for a job served against `market`. The
+    /// re-tuner's acceptance observations are forwarded into this service's
+    /// [`MarketRegistry`] drift detector as they arrive — the evidence that
+    /// re-tunes the job also accumulates toward registry-level confirmed
+    /// drift, with no manual `observe_acceptance` wiring.
     pub fn retuner(
         &self,
         problem: HTuningProblem,
@@ -1413,12 +1351,7 @@ impl TuningService {
         policy: RetunePolicy,
         market: MarketId,
     ) -> Retuner {
-        let retuner = Retuner::new(problem, strategy, policy);
-        if self.feed_drift_evidence {
-            retuner.with_evidence_sink(self.markets.clone(), market)
-        } else {
-            retuner
-        }
+        Retuner::new(problem, strategy, policy).with_evidence_sink(self.markets.clone(), market)
     }
 
     /// Jobs waiting in the queue.
@@ -1655,19 +1588,19 @@ fn worker_loop(ctx: &WorkerContext) {
                 if *source != PlanSource::CacheHit {
                     // With telemetry on, the record carries the per-label
                     // persist-lag probe (the writer thread stamps the
-                    // enqueue-to-durable-write interval into it) and, with
-                    // tracing on, a clone of the job's trace handle — the
-                    // writer records the `store.persist` span at retire,
-                    // extending the trace past the response.
-                    let lag_into = telemetry.persist_hist(&trace);
+                    // enqueue-to-durable-write interval into it) and a
+                    // clone of the job's trace handle — the writer records
+                    // the `store.persist` span at retire, extending the
+                    // trace past the response.
                     let persist_span = span
                         .as_ref()
                         .map(|active| (active.clone(), active.now_ns()));
-                    if lag_into.is_none() && persist_span.is_none() {
-                        store.record_plan(fingerprint.0, plan);
-                    } else {
-                        store.record_plan_observed(fingerprint.0, plan, lag_into, persist_span);
-                    }
+                    store.record_plan(
+                        fingerprint.0,
+                        plan,
+                        telemetry.persist_hist(&trace),
+                        persist_span,
+                    );
                 }
             }
             if journaled {
@@ -1694,7 +1627,7 @@ fn worker_loop(ctx: &WorkerContext) {
         // path. Failed and panicked jobs are folded too: they carry their
         // status into the slowest ring and mark their span tree errored
         // (which tail-samples the trace).
-        if telemetry.enabled {
+        if telemetry.enabled() {
             trace.status = status;
             trace.completed_ns = telemetry.now_ns();
             if let Some(active) = &span {
@@ -1711,18 +1644,7 @@ fn worker_loop(ctx: &WorkerContext) {
     }
 }
 
-/// Whether the job resolves to the Repetition Algorithm, the one strategy
-/// whose DP is budget-agnostic and therefore family-reusable (see the
-/// `family` module docs for why EA and HA are excluded).
-fn resolves_to_ra(problem: &HTuningProblem, strategy: StrategyChoice) -> bool {
-    match strategy {
-        StrategyChoice::RepetitionAlgorithm => true,
-        StrategyChoice::Auto => problem.scenario() == Scenario::Repetition,
-        StrategyChoice::EvenAllocation | StrategyChoice::HeterogeneousAlgorithm => false,
-    }
-}
-
-/// The scenario whose algorithm served the job: the classified scenario
+/// The scenario whose algorithm serves the job: the classified scenario
 /// under `Auto`, otherwise the scenario the forced strategy belongs to
 /// (telemetry labels report the algorithm that actually ran).
 fn resolved_scenario(problem: &HTuningProblem, strategy: StrategyChoice) -> Scenario {
@@ -1732,22 +1654,6 @@ fn resolved_scenario(problem: &HTuningProblem, strategy: StrategyChoice) -> Scen
         StrategyChoice::RepetitionAlgorithm => Scenario::Repetition,
         StrategyChoice::HeterogeneousAlgorithm => Scenario::Heterogeneous,
     }
-}
-
-/// Stamps the post-solve stages on `trace`: the estimate-attach boundary is
-/// reconstructed from the reported `estimate_ns` so one clock read covers
-/// both the solve-end and estimate-end stamps.
-fn stamp_solved(
-    trace: &mut JobTrace,
-    telemetry: &Telemetry,
-    scenario: Scenario,
-    source: PlanSource,
-    estimate_ns: u64,
-) {
-    trace.estimate_end_ns = telemetry.now_ns();
-    trace.solve_end_ns = trace.estimate_end_ns.saturating_sub(estimate_ns);
-    trace.scenario = SCENARIO_LABELS[scenario_index(scenario)];
-    trace.source = SOURCE_LABELS[source_index(source)];
 }
 
 fn serve_one(
@@ -1768,24 +1674,15 @@ fn serve_one(
     // can never answer market B.
     let fingerprint = PlanFingerprint::of_market(&problem, request.strategy, request.market);
     trace.solve_start_ns = telemetry.now_ns();
-    if let Some(plan) = cache.get(fingerprint) {
-        if telemetry.enabled {
-            // No estimate step runs on a cache hit: estimate-end == solve-end.
-            stamp_solved(
-                trace,
-                telemetry,
-                resolved_scenario(&problem, request.strategy),
-                PlanSource::CacheHit,
-                0,
-            );
-        }
-        return Ok((plan, PlanSource::CacheHit, fingerprint));
-    }
-    // RA-resolved jobs route through the family layer: a resident family
-    // answers any budget from its shared table; a miss seeds the family with
-    // this job's cold solve. Either way the plan lands in the exact-match
-    // cache, so the PR 1 fast path above is unchanged.
-    if resolves_to_ra(&problem, request.strategy) {
+    let (plan, source, estimate_ns, lock_wait_ns) = if let Some(plan) = cache.get(fingerprint) {
+        // No estimate step runs on a cache hit: estimate-end == solve-end.
+        (plan, PlanSource::CacheHit, 0, 0)
+    } else if resolved_scenario(&problem, request.strategy) == Scenario::Repetition {
+        // RA is the one strategy whose DP is budget-agnostic, so RA jobs
+        // route through the family layer (see the `family` module docs for
+        // why EA and HA are excluded): a resident family answers any budget
+        // from its shared table; a miss seeds the family with this job's
+        // cold solve.
         let family = FamilyFingerprint::of_market(
             &problem,
             StrategyChoice::RepetitionAlgorithm,
@@ -1798,40 +1695,44 @@ fn serve_one(
             FamilyServe::Hit => PlanSource::FamilyHit,
             FamilyServe::Seeded => PlanSource::ColdSolve,
         };
-        if telemetry.enabled {
-            stamp_solved(
-                trace,
-                telemetry,
-                Scenario::Repetition,
-                source,
-                timing.estimate_ns,
-            );
-            trace.family_lock_wait_ns = timing.lock_wait_ns;
-        }
-        let plan = cache.insert(fingerprint, Arc::new(plan));
-        return Ok((plan, source, fingerprint));
-    }
-    let tuner = Tuner::new(request.rate_model.clone()).with_strategy(request.strategy);
-    let (plan, timing) = tuner
-        .plan_timed(request.task_set.clone(), request.budget)
-        .map_err(ServeError::Tuning)?;
-    if telemetry.enabled {
-        stamp_solved(
-            trace,
-            telemetry,
-            resolved_scenario(&problem, request.strategy),
-            PlanSource::ColdSolve,
+        (
+            Arc::new(plan),
+            source,
             timing.estimate_ns,
-        );
+            timing.lock_wait_ns,
+        )
+    } else {
+        let tuner = Tuner::new(request.rate_model.clone()).with_strategy(request.strategy);
+        let (plan, timing) = tuner
+            .plan_timed(request.task_set.clone(), request.budget)
+            .map_err(ServeError::Tuning)?;
+        (Arc::new(plan), PlanSource::ColdSolve, timing.estimate_ns, 0)
+    };
+    if telemetry.enabled() {
+        // One clock read covers both post-solve stamps: the estimate-attach
+        // boundary is reconstructed from the reported `estimate_ns`.
+        trace.estimate_end_ns = telemetry.now_ns();
+        trace.solve_end_ns = trace.estimate_end_ns.saturating_sub(estimate_ns);
+        let scenario = resolved_scenario(&problem, request.strategy);
+        trace.scenario = SCENARIO_LABELS[scenario_index(scenario)];
+        trace.source = SOURCE_LABELS[source_index(source)];
+        trace.family_lock_wait_ns = lock_wait_ns;
     }
-    let plan = cache.insert(fingerprint, Arc::new(plan));
-    Ok((plan, PlanSource::ColdSolve, fingerprint))
+    // Family and cold answers land in the exact-match cache, so a repeat of
+    // this job takes the fast path above.
+    let plan = match source {
+        PlanSource::CacheHit => plan,
+        PlanSource::FamilyHit | PlanSource::ColdSolve => cache.insert(fingerprint, plan),
+    };
+    Ok((plan, source, fingerprint))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crowdtune_core::rate::LinearRate;
+    use crowdtune_obs::TraceContext;
+    use std::time::Instant;
 
     fn request(tenant: &str, tasks: usize, budget: u64) -> JobRequest {
         let mut set = TaskSet::new();
@@ -1996,19 +1897,17 @@ mod tests {
     /// exactly once, with the job id, and only after `try_result` can see
     /// the outcome — no polling loop required.
     #[test]
-    fn submit_with_notify_fires_after_the_outcome_is_readable() {
+    fn completion_hook_fires_after_the_outcome_is_readable() {
         let service = TuningService::start(ServiceConfig {
             workers: 1,
             ..ServiceConfig::default()
         });
         let (tx, rx) = mpsc::channel::<u64>();
+        let hook: CompletionNotify = Arc::new(move |job_id| {
+            let _ = tx.send(job_id);
+        });
         let handle = service
-            .submit_with_notify(
-                request("acme", 5, 60),
-                Arc::new(move |job_id| {
-                    let _ = tx.send(job_id);
-                }),
-            )
+            .submit_observed(request("acme", 5, 60), Some(hook), None)
             .unwrap();
         let notified = rx
             .recv_timeout(std::time::Duration::from_secs(10))
@@ -2115,6 +2014,40 @@ mod tests {
         service.shutdown();
     }
 
+    /// A submit refused by admission counts as `rejected` and never as
+    /// `submitted`: the queue only counts the jobs it accepts.
+    #[test]
+    fn admission_refusals_count_as_rejected_not_submitted() {
+        for (max_pending, max_pending_per_tenant) in [(0, 1), (1, 0)] {
+            let service = TuningService::start(ServiceConfig {
+                workers: 1,
+                admission: AdmissionPolicy {
+                    max_pending,
+                    max_pending_per_tenant,
+                },
+                ..ServiceConfig::default()
+            });
+            let err = service.submit(request("acme", 5, 60)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ServeError::Admission(
+                        AdmissionError::QueueFull { .. } | AdmissionError::TenantOverLimit { .. }
+                    )
+                ),
+                "{err}"
+            );
+            let exposition = service.render_prometheus();
+            assert!(exposition.contains("crowdtune_jobs_submitted_total 0"));
+            assert!(exposition.contains("crowdtune_jobs_rejected_total 1"));
+            assert_eq!(
+                (service.metrics().submitted, service.metrics().rejected),
+                (0, 1)
+            );
+            service.shutdown();
+        }
+    }
+
     #[test]
     fn concurrent_tenants_all_get_served() {
         let service = Arc::new(TuningService::start(ServiceConfig {
@@ -2170,7 +2103,8 @@ mod tests {
     #[test]
     fn markets_never_share_cached_plans() {
         let service =
-            TuningService::start_with_markets(ServiceConfig::default(), two_market_registry());
+            TuningService::boot(ServiceConfig::default(), Some(two_market_registry()), None)
+                .unwrap();
         let on_market = |market: MarketId| JobRequest {
             market,
             ..request("acme", 5, 60)
@@ -2194,7 +2128,8 @@ mod tests {
     #[test]
     fn unknown_markets_are_rejected_at_the_door() {
         let service =
-            TuningService::start_with_markets(ServiceConfig::default(), two_market_registry());
+            TuningService::boot(ServiceConfig::default(), Some(two_market_registry()), None)
+                .unwrap();
         let err = service
             .tune(JobRequest {
                 market: MarketId(9),
@@ -2214,7 +2149,8 @@ mod tests {
     #[test]
     fn stage_histograms_carry_the_market_label() {
         let service =
-            TuningService::start_with_markets(ServiceConfig::default(), two_market_registry());
+            TuningService::boot(ServiceConfig::default(), Some(two_market_registry()), None)
+                .unwrap();
         service
             .tune(JobRequest {
                 market: MarketId(1),
@@ -2223,18 +2159,10 @@ mod tests {
             .unwrap();
         // The trace folds into telemetry after the response is sent (off
         // the submitter's latency path), so wait for it to land.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        let slowest = loop {
-            let slowest = service.slowest_traces();
-            if !slowest.is_empty() {
-                break slowest;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "trace fold-in never settled"
-            );
-            std::thread::yield_now();
-        };
+        let slowest = poll_until(
+            || Some(service.slowest_traces()).filter(|slowest| !slowest.is_empty()),
+            "trace fold-in",
+        );
         assert_eq!(slowest.len(), 1);
         assert_eq!(slowest[0].market, "prolific");
         let exposition = service.render_prometheus();
@@ -2356,6 +2284,19 @@ mod tests {
         service.shutdown();
     }
 
+    /// Submits `request` as part of a caller's trace, the way the gateway
+    /// does for a `traceparent` header.
+    fn submit_under(
+        service: &TuningService,
+        request: JobRequest,
+        context: TraceContext,
+    ) -> JobHandle {
+        let trace = service
+            .tracer()
+            .map(|tracer| tracer.start_trace("job.submit", Some(context)));
+        service.submit_observed(request, None, trace).unwrap()
+    }
+
     /// Waits (bounded) for a condition driven by the post-response trace
     /// fold-in, which runs on the worker thread after `respond.send`.
     fn poll_until<T>(mut probe: impl FnMut() -> Option<T>, what: &str) -> T {
@@ -2394,7 +2335,7 @@ mod tests {
             rate_model: Arc::new(PanickingRate),
             ..request("acme", 5, 60)
         };
-        let handle = service.submit_traced(hostile, Some(context)).unwrap();
+        let handle = submit_under(&service, hostile, context);
         let err = handle.wait().unwrap_err();
         assert!(matches!(err, ServeError::WorkerPanic { .. }), "{err}");
         let slowest = poll_until(
@@ -2406,7 +2347,7 @@ mod tests {
         );
         assert_eq!(slowest[0].status_str(), "panicked");
         assert!(!slowest[0].is_ok());
-        let tracer = service.tracer().expect("tracing on");
+        let tracer = service.tracer().expect("telemetry on");
         let stored = poll_until(|| tracer.store().get(trace_id), "error tail sample");
         assert_eq!(stored.reason, crowdtune_obs::SampleReason::TailError);
         assert_eq!(stored.status, crowdtune_obs::SpanStatus::Error);
@@ -2428,7 +2369,7 @@ mod tests {
             ..ServiceConfig::default()
         });
         service.tune(request("acme", 5, 60)).unwrap();
-        let tracer = service.tracer().expect("tracing on");
+        let tracer = service.tracer().expect("telemetry on");
         let stored = poll_until(
             || tracer.store().snapshot().into_iter().next(),
             "slow-job tail sample",
@@ -2453,12 +2394,10 @@ mod tests {
             parent: crowdtune_obs::SpanId(7),
             sampled: true,
         };
-        service
-            .submit_traced(request("acme", 5, 60), Some(context))
-            .unwrap()
+        submit_under(&service, request("acme", 5, 60), context)
             .wait()
             .unwrap();
-        let tracer = service.tracer().expect("tracing on");
+        let tracer = service.tracer().expect("telemetry on");
         let stored = poll_until(|| tracer.store().get(trace_id), "sampled span tree");
         assert_eq!(stored.reason, crowdtune_obs::SampleReason::Head);
         let names: Vec<&str> = stored.spans.iter().map(|s| s.name).collect();
@@ -2480,26 +2419,6 @@ mod tests {
         assert_eq!(view.tenant, "acme");
         assert_eq!(view.status_str(), "ok");
         assert!(view.solve_end_ns >= view.solve_start_ns);
-        service.shutdown();
-    }
-
-    /// `tracing: false` (or telemetry off entirely) keeps the tracer out of
-    /// the pipeline: no tracer handle, and jobs still serve.
-    #[test]
-    fn tracing_can_be_disabled_independently() {
-        let service = TuningService::start(ServiceConfig {
-            workers: 1,
-            tracing: false,
-            ..ServiceConfig::default()
-        });
-        assert!(service.tracer().is_none());
-        service.tune(request("acme", 5, 60)).unwrap();
-        // The stamp-based debug surface still works without spans.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while service.slowest_traces().is_empty() {
-            assert!(Instant::now() < deadline, "ring entry never settled");
-            std::thread::yield_now();
-        }
         service.shutdown();
     }
 }

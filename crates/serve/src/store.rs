@@ -732,32 +732,16 @@ impl PlanStore {
         &self.dir
     }
 
-    /// Queues a plan snapshot for the exact-match stream.
-    pub fn record_plan(&self, fingerprint: u64, plan: &TunedPlan) {
-        let record = PlanRecord {
-            fingerprint,
-            plan: plan.clone(),
-        };
-        self.enqueue(Stream::Plans, &record, false);
-    }
-
-    /// [`PlanStore::record_plan`] with a persistence-lag probe: the
-    /// enqueue-to-retire latency of this record is recorded into `lag_into`
-    /// (in nanoseconds) once the background writer appends it. This is how
-    /// the service attributes write-behind lag to the job's scenario and
-    /// plan source.
-    pub fn record_plan_traced(&self, fingerprint: u64, plan: &TunedPlan, lag_into: &Histogram) {
-        self.record_plan_observed(fingerprint, plan, Some(lag_into), None);
-    }
-
-    /// The full-observability variant of [`PlanStore::record_plan`]: an
-    /// optional persistence-lag probe (see [`PlanStore::record_plan_traced`])
-    /// plus an optional causal-tracing probe — the job's live [`ActiveTrace`]
-    /// and the `store.persist` span's start stamp. The writer thread records
-    /// the span when the record retires (so the span covers queue wait plus
-    /// the disk write, errored when the write failed) and then releases the
+    /// Queues a plan snapshot for the exact-match stream, with two optional
+    /// probes. `lag_into` receives the enqueue-to-retire latency of this
+    /// record (in nanoseconds) once the background writer appends it; this
+    /// is how the service attributes write-behind lag to the job's scenario
+    /// and plan source. `span` is the job's live [`ActiveTrace`] plus the
+    /// `store.persist` span's start stamp. The writer thread records the
+    /// span when the record retires (so the span covers queue wait plus the
+    /// disk write, errored when the write failed) and then releases the
     /// trace handle, letting the trace's sampling flush run.
-    pub fn record_plan_observed(
+    pub fn record_plan(
         &self,
         fingerprint: u64,
         plan: &TunedPlan,
@@ -1564,9 +1548,9 @@ mod tests {
             let (store, snapshot) = PlanStore::open(&dir).unwrap();
             assert!(snapshot.report.clean());
             assert!(snapshot.plans.is_empty());
-            store.record_plan(7, &plan(1));
-            store.record_plan(9, &plan(2));
-            store.record_plan(7, &plan(3)); // duplicate key: incumbent wins on load
+            store.record_plan(7, &plan(1), None, None);
+            store.record_plan(9, &plan(2), None, None);
+            store.record_plan(7, &plan(3), None, None); // duplicate key: incumbent wins on load
             store.record_journal(&JournalRecord::Submitted {
                 job_id: 4,
                 tenant: "acme".to_owned(),
@@ -1636,7 +1620,7 @@ mod tests {
         // instead of blocking the (serve-path) producer.
         let (store, _) = PlanStore::open_with_capacity(&dir, 2).unwrap();
         for i in 0..64u64 {
-            store.record_plan(i, &plan(i));
+            store.record_plan(i, &plan(i), None, None);
         }
         store.flush();
         let stats = store.stats();
@@ -1731,8 +1715,8 @@ mod tests {
                 },
             )
             .unwrap();
-            store.record_plan(1, &plan(1));
-            store.record_plan(2, &plan(2));
+            store.record_plan(1, &plan(1), None, None);
+            store.record_plan(2, &plan(2), None, None);
             store.flush();
             let stats = store.stats();
             assert!(stats.fsyncs >= 1, "per-batch policy must fsync: {stats:?}");
@@ -1750,13 +1734,13 @@ mod tests {
             )
             .unwrap();
             assert_eq!(snapshot.plans.len(), 2);
-            store.record_plan(3, &plan(3));
+            store.record_plan(3, &plan(3), None, None);
             store.flush();
             assert!(store.stats().fsyncs >= 1);
         }
         let (store, snapshot) = PlanStore::open(&dir).unwrap();
         assert_eq!(snapshot.plans.len(), 3, "all policies persist identically");
-        store.record_plan(4, &plan(4));
+        store.record_plan(4, &plan(4), None, None);
         store.flush();
         assert_eq!(store.stats().fsyncs, 0, "default policy never fsyncs");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1777,7 +1761,7 @@ mod tests {
             },
         )
         .unwrap();
-        store.record_plan(1, &plan(1));
+        store.record_plan(1, &plan(1), None, None);
         store.flush();
         // No more records arrive. The dirty stream must be synced within
         // the interval (generous deadline for slow CI).
@@ -1807,7 +1791,7 @@ mod tests {
             },
         )
         .unwrap();
-        store.record_plan(1, &plan(1));
+        store.record_plan(1, &plan(1), None, None);
         store.flush();
         drop(store);
         let (store, snapshot) = PlanStore::open(&dir).unwrap();
@@ -1889,7 +1873,7 @@ mod tests {
         {
             let (store, _) = PlanStore::open(&dir).unwrap();
             for i in 0..4u64 {
-                store.record_plan(i, &plan(i));
+                store.record_plan(i, &plan(i), None, None);
             }
             store.flush();
         }
@@ -1901,7 +1885,7 @@ mod tests {
         assert_eq!(snapshot.report.corrupt_tails, 1);
         assert_eq!(snapshot.plans.len(), 3, "good prefix survives");
         // Appending after recovery lands cleanly after the truncated point.
-        store.record_plan(99, &plan(99));
+        store.record_plan(99, &plan(99), None, None);
         store.flush();
         drop(store);
         let (_store, snapshot) = PlanStore::open(&dir).unwrap();
@@ -1916,7 +1900,7 @@ mod tests {
         {
             let (store, _) = PlanStore::open(&dir).unwrap();
             for i in 0..5u64 {
-                store.record_plan(i, &plan(i));
+                store.record_plan(i, &plan(i), None, None);
             }
             store.flush();
         }
@@ -1952,7 +1936,7 @@ mod tests {
         let dir = scratch_dir("version");
         {
             let (store, _) = PlanStore::open(&dir).unwrap();
-            store.record_plan(1, &plan(1));
+            store.record_plan(1, &plan(1), None, None);
             store.flush();
         }
         let path = dir.join("plans.log");
@@ -1968,7 +1952,7 @@ mod tests {
         let parked = std::fs::read_to_string(dir.join("plans.log.unreadable")).unwrap();
         assert!(parked.starts_with("crowdtune-store v2"));
         // The stream restarts under the current header and works again.
-        store.record_plan(2, &plan(2));
+        store.record_plan(2, &plan(2), None, None);
         store.flush();
         drop(store);
         let (_store, snapshot) = PlanStore::open(&dir).unwrap();
@@ -1988,7 +1972,7 @@ mod tests {
         {
             let (store, _) = PlanStore::open(&dir).unwrap();
             for i in 0..3u64 {
-                store.record_plan(i, &plan(i));
+                store.record_plan(i, &plan(i), None, None);
             }
             store.flush();
         }
@@ -2003,7 +1987,7 @@ mod tests {
         assert_eq!(snapshot.plans.len(), 2);
         // Appends land on a clean prefix: the next recovery sees every
         // surviving record plus the new one, with no merged-line damage.
-        store.record_plan(9, &plan(9));
+        store.record_plan(9, &plan(9), None, None);
         store.flush();
         drop(store);
         let (_store, snapshot) = PlanStore::open(&dir).unwrap();
@@ -2104,7 +2088,7 @@ mod tests {
         {
             let (store, _) = PlanStore::open_with(&dir, faulted_options(&fault, &sleeper)).unwrap();
             fault.arm(2); // default reopen_after = 2, max_retries = 4
-            store.record_plan(1, &plan(1));
+            store.record_plan(1, &plan(1), None, None);
             store.flush();
             let stats = store.stats();
             assert_eq!(stats.retries, 2, "{stats:?}");
@@ -2137,14 +2121,14 @@ mod tests {
         {
             let (store, _) = PlanStore::open_with(&dir, faulted_options(&fault, &sleeper)).unwrap();
             fault.arm(u32::MAX); // persistent outage
-            store.record_plan(1, &plan(1));
+            store.record_plan(1, &plan(1), None, None);
             store.flush();
             let stats = store.stats();
             assert_eq!(stats.write_errors, 1, "{stats:?}");
             assert_eq!(stats.retries, 4, "full retry budget spent");
             assert!(store.write_path_impaired(), "outage must impair");
             fault.arm(0); // the disk comes back
-            store.record_plan(2, &plan(2));
+            store.record_plan(2, &plan(2), None, None);
             store.flush();
             assert!(
                 !store.write_path_impaired(),

@@ -287,13 +287,16 @@ fn main() {
     // ---- The chaos service: durable, fault layer installed (disarmed). ----
     let fault = Arc::new(ChaosWriteFault::new());
     let service = Arc::new(
-        TuningService::recover_with(
+        TuningService::boot(
             config,
-            &dir,
-            StoreOptions {
-                write_fault: Some(fault.clone() as Arc<dyn WriteFault>),
-                ..StoreOptions::default()
-            },
+            None,
+            Some((
+                &dir,
+                StoreOptions {
+                    write_fault: Some(fault.clone() as Arc<dyn WriteFault>),
+                    ..StoreOptions::default()
+                },
+            )),
         )
         .expect("open durable chaos service"),
     );
@@ -375,10 +378,14 @@ fn main() {
         parent: SpanId(0x51),
         sampled: false,
     };
+    let panic_trace = service
+        .tracer()
+        .map(|tracer| tracer.start_trace("job.submit", Some(panic_context)));
     let err = service
-        .submit_traced(
+        .submit_observed(
             request(ra_set(), 200, panic_rate.clone()),
-            Some(panic_context),
+            None,
+            panic_trace,
         )
         .expect("panic job admitted")
         .wait()

@@ -21,17 +21,16 @@
 //!    bench JSON with their in-run `p99_vs_p50_ratio` (tail health, guarded
 //!    with a ceiling by the CI regression script).
 //! 6. **Overhead pass** — two fresh in-process services, telemetry on vs
-//!    off, alternating warm cache-hit submits; `telemetry_off_vs_on_p50_ratio`
-//!    (~1.0, guarded with a floor) is the cost of the per-job tracing and
-//!    histogram instrumentation on the hottest path. A second pass repeats
-//!    the pattern for causal span recording (tracing on vs off, telemetry on
-//!    in both); `tracing_off_vs_on_p50_ratio` (~1.0, floor-guarded at 1.20x)
-//!    proves the mostly-unsampled span path stays off the hot path. The
-//!    correctness pass also submits one job with a W3C `traceparent` header
-//!    and asserts the echoed header keeps the caller's trace id and the span
-//!    tree is queryable at `GET /v1/debug/traces/{trace_id}`.
-//! 7. **Fault-layer pass** — same in-run pattern over two durable services,
-//!    chaos write-fault layer absent vs installed-but-disarmed;
+//!    off, warm cache-hit submits interleaved job by job, with the side that
+//!    goes first alternating every round; `telemetry_off_vs_on_p50_ratio`
+//!    (the median of per-round p50 ratios, ~1.0, guarded with a floor) is
+//!    the cost of the per-job stage stamps, histograms and (mostly
+//!    unsampled) span recording on the hottest path. The correctness pass
+//!    also submits one job with a W3C `traceparent` header and asserts the
+//!    echoed header keeps the caller's trace id and the span tree is
+//!    queryable at `GET /v1/debug/traces/{trace_id}`.
+//! 7. **Fault-layer pass** — the same off/on comparison over two durable
+//!    services, chaos write-fault layer absent vs installed-but-disarmed;
 //!    `fault_layer_off_vs_on_p50_ratio` (~1.0, guarded with a floor) proves
 //!    fault injection support costs nothing on the fault-free hot path.
 //! 8. **Idle-herd + open-loop pass** — parks thousands of idle keep-alive
@@ -238,10 +237,67 @@ fn catalogue() -> Vec<JobRequestWire> {
     jobs
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    assert!(!sorted.is_empty());
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
+/// The `p` quantile of `samples` (sorted in place).
+fn percentile(samples: &mut [f64], p: f64) -> f64 {
+    assert!(!samples.is_empty());
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    let idx = ((samples.len() - 1) as f64 * p).round() as usize;
+    samples[idx]
+}
+
+/// One in-run overhead comparison between two services that differ in a
+/// single feature: warms both with the catalogue, then runs `rounds`
+/// rounds, each submitting every job to both sides back to back. The side
+/// that goes first alternates every round, so ordering effects and
+/// scheduler drift hit both equally. Returns the pooled on and off p50s and
+/// the median of the per-round off/on p50 ratios (~1.0; a drop means the
+/// feature got expensive).
+fn off_vs_on(
+    label: &str,
+    off: &TuningService,
+    on: &TuningService,
+    jobs: &[JobRequestWire],
+    rounds: usize,
+) -> (f64, f64, f64) {
+    let submit = |service: &TuningService, wire: &JobRequestWire| {
+        let request = wire.to_request(1_000_000).expect("wire converts");
+        let sent = Instant::now();
+        service
+            .tune(request)
+            .unwrap_or_else(|e| panic!("{label} submit: {e}"));
+        sent.elapsed().as_secs_f64() * 1e6
+    };
+    for wire in jobs {
+        submit(off, wire);
+        submit(on, wire);
+    }
+    let mut on_samples = Vec::with_capacity(rounds * jobs.len());
+    let mut off_samples = Vec::with_capacity(rounds * jobs.len());
+    let mut ratios = Vec::with_capacity(rounds);
+    for round in 0..rounds {
+        let mut round_on = Vec::with_capacity(jobs.len());
+        let mut round_off = Vec::with_capacity(jobs.len());
+        for wire in jobs {
+            if round % 2 == 0 {
+                round_on.push(submit(on, wire));
+                round_off.push(submit(off, wire));
+            } else {
+                round_off.push(submit(off, wire));
+                round_on.push(submit(on, wire));
+            }
+        }
+        ratios.push(percentile(&mut round_off, 0.50) / percentile(&mut round_on, 0.50));
+        on_samples.extend(round_on);
+        off_samples.extend(round_off);
+    }
+    let on_p50 = percentile(&mut on_samples, 0.50);
+    let off_p50 = percentile(&mut off_samples, 0.50);
+    let ratio = percentile(&mut ratios, 0.50);
+    println!(
+        "{label} overhead: on p50 {on_p50:.2}µs, off p50 {off_p50:.2}µs, \
+         median per-round off/on ratio {ratio:.3}"
+    );
+    (on_p50, off_p50, ratio)
 }
 
 /// Pulls the value of `name{labels}` out of a Prometheus text exposition.
@@ -509,11 +565,10 @@ fn main() {
             .collect()
     });
     let elapsed = started.elapsed().as_secs_f64();
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let total_requests = latencies.len();
-    let http_p50 = percentile(&latencies, 0.50);
-    let http_p90 = percentile(&latencies, 0.90);
-    let http_p99 = percentile(&latencies, 0.99);
+    let http_p50 = percentile(&mut latencies, 0.50);
+    let http_p90 = percentile(&mut latencies, 0.90);
+    let http_p99 = percentile(&mut latencies, 0.99);
     let throughput = total_requests as f64 / elapsed;
 
     // -- Endpoint pass: per-endpoint percentiles over one keep-alive client.
@@ -553,12 +608,11 @@ fn main() {
                 assert_eq!(response.status, 200, "endpoint pass {endpoint}");
                 samples.push(micros);
             }
-            samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
             endpoint_rows.push((
                 endpoint.to_owned(),
-                percentile(&samples, 0.50),
-                percentile(&samples, 0.90),
-                percentile(&samples, 0.99),
+                percentile(&mut samples, 0.50),
+                percentile(&mut samples, 0.90),
+                percentile(&mut samples, 0.99),
             ));
         }
     }
@@ -618,9 +672,8 @@ fn main() {
             .collect()
     });
     let open_elapsed = open_started.elapsed().as_secs_f64();
-    open_latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let open_loop_p50 = percentile(&open_latencies, 0.50);
-    let open_loop_p99 = percentile(&open_latencies, 0.99);
+    let open_loop_p50 = percentile(&mut open_latencies, 0.50);
+    let open_loop_p99 = percentile(&mut open_latencies, 0.99);
     let open_loop_throughput = open_latencies.len() as f64 / open_elapsed;
 
     // The herd must still be registered after the pass: the reactor held
@@ -655,8 +708,7 @@ fn main() {
             in_process.push(sent.elapsed().as_secs_f64() * 1e6);
         }
     }
-    in_process.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let inprocess_p50 = percentile(&in_process, 0.50);
+    let inprocess_p50 = percentile(&mut in_process, 0.50);
     let ratio = inprocess_p50 / http_p50;
     let open_loop_vs_closed = open_loop_p50 / http_p50;
 
@@ -666,144 +718,51 @@ fn main() {
          p99 {http_p99:.0}µs | in-process p50 {inprocess_p50:.0}µs | ratio {ratio:.3}"
     );
 
-    // -- Overhead pass: what does the per-job tracing + histogram recording
-    // cost on the hottest path? Two fresh services, telemetry on vs off,
-    // warm caches, alternating submits so scheduler drift hits both sides
-    // equally. The off/on p50 ratio sits near 1.0; a drop means the
-    // instrumentation got expensive.
+    // -- Overhead pass: what does the per-job telemetry (stage stamps,
+    // histograms, span recording) cost on the hottest path? Two fresh
+    // services, telemetry on vs off, warm caches.
     let overhead_rounds = if quick { 150 } else { 600 };
     let telemetry_on = TuningService::start(ServiceConfig::default());
     let telemetry_off = TuningService::start(ServiceConfig {
         telemetry: false,
         ..ServiceConfig::default()
     });
-    for wire in &jobs {
-        let request = wire.to_request(1_000_000).expect("wire converts");
-        telemetry_on.tune(request).expect("warm telemetry-on");
-        let request = wire.to_request(1_000_000).expect("wire converts");
-        telemetry_off.tune(request).expect("warm telemetry-off");
-    }
-    let mut on_samples = Vec::with_capacity(overhead_rounds * jobs.len());
-    let mut off_samples = Vec::with_capacity(overhead_rounds * jobs.len());
-    for _ in 0..overhead_rounds {
-        for wire in &jobs {
-            let request = wire.to_request(1_000_000).expect("wire converts");
-            let sent = Instant::now();
-            telemetry_on.tune(request).expect("telemetry-on submit");
-            on_samples.push(sent.elapsed().as_secs_f64() * 1e6);
-            let request = wire.to_request(1_000_000).expect("wire converts");
-            let sent = Instant::now();
-            telemetry_off.tune(request).expect("telemetry-off submit");
-            off_samples.push(sent.elapsed().as_secs_f64() * 1e6);
-        }
-    }
+    let (telemetry_on_p50, telemetry_off_p50, overhead_ratio) = off_vs_on(
+        "telemetry",
+        &telemetry_off,
+        &telemetry_on,
+        &jobs,
+        overhead_rounds,
+    );
     telemetry_on.shutdown();
     telemetry_off.shutdown();
-    on_samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    off_samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let telemetry_on_p50 = percentile(&on_samples, 0.50);
-    let telemetry_off_p50 = percentile(&off_samples, 0.50);
-    let overhead_ratio = telemetry_off_p50 / telemetry_on_p50;
-    println!(
-        "telemetry overhead: on p50 {telemetry_on_p50:.2}µs, off p50 {telemetry_off_p50:.2}µs, \
-         off/on ratio {overhead_ratio:.3} (overhead {:.1}%)",
-        (telemetry_on_p50 / telemetry_off_p50 - 1.0) * 100.0
-    );
-
-    // -- Tracing overhead pass: same in-run pattern, telemetry on in both,
-    // causal span recording on vs off. The unsampled path (head sampling
-    // keeps 1-in-64 by default) must stay off the hot path: the off/on p50
-    // ratio sits near 1.0 and is floor-guarded at 1.20x by CI.
-    let tracing_on = TuningService::start(ServiceConfig::default());
-    let tracing_off = TuningService::start(ServiceConfig {
-        tracing: false,
-        ..ServiceConfig::default()
-    });
-    for wire in &jobs {
-        let request = wire.to_request(1_000_000).expect("wire converts");
-        tracing_on.tune(request).expect("warm tracing-on");
-        let request = wire.to_request(1_000_000).expect("wire converts");
-        tracing_off.tune(request).expect("warm tracing-off");
-    }
-    let mut tracing_on_samples = Vec::with_capacity(overhead_rounds * jobs.len());
-    let mut tracing_off_samples = Vec::with_capacity(overhead_rounds * jobs.len());
-    for _ in 0..overhead_rounds {
-        for wire in &jobs {
-            let request = wire.to_request(1_000_000).expect("wire converts");
-            let sent = Instant::now();
-            tracing_on.tune(request).expect("tracing-on submit");
-            tracing_on_samples.push(sent.elapsed().as_secs_f64() * 1e6);
-            let request = wire.to_request(1_000_000).expect("wire converts");
-            let sent = Instant::now();
-            tracing_off.tune(request).expect("tracing-off submit");
-            tracing_off_samples.push(sent.elapsed().as_secs_f64() * 1e6);
-        }
-    }
-    tracing_on.shutdown();
-    tracing_off.shutdown();
-    tracing_on_samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    tracing_off_samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let tracing_on_p50 = percentile(&tracing_on_samples, 0.50);
-    let tracing_off_p50 = percentile(&tracing_off_samples, 0.50);
-    let tracing_ratio = tracing_off_p50 / tracing_on_p50;
-    println!(
-        "tracing overhead: on p50 {tracing_on_p50:.2}µs, off p50 {tracing_off_p50:.2}µs, \
-         off/on ratio {tracing_ratio:.3} (overhead {:.1}%)",
-        (tracing_on_p50 / tracing_off_p50 - 1.0) * 100.0
-    );
 
     // -- Fault-layer pass: an *installed but disarmed* chaos write-fault must
-    // cost nothing on the fault-free hot path. Two fresh durable services,
-    // fault layer absent vs installed, warm caches, alternating submits (the
-    // same in-run pattern as the telemetry pass). The hook only runs on the
-    // background writer thread, so the off/on p50 ratio sits near 1.0.
+    // cost nothing on the fault-free hot path (the hook only runs on the
+    // background writer thread). Two fresh durable services, fault layer
+    // absent vs installed, warm caches.
     let fault_base =
         std::env::temp_dir().join(format!("crowdtune-loadgen-fault-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&fault_base);
     let fault_off = TuningService::recover(ServiceConfig::default(), fault_base.join("off"))
         .expect("open fault-off store");
-    let fault_on = TuningService::recover_with(
+    let fault_on = TuningService::boot(
         ServiceConfig::default(),
-        fault_base.join("on"),
-        StoreOptions {
-            write_fault: Some(Arc::new(ChaosWriteFault::new()) as Arc<dyn WriteFault>),
-            ..StoreOptions::default()
-        },
+        None,
+        Some((
+            &fault_base.join("on"),
+            StoreOptions {
+                write_fault: Some(Arc::new(ChaosWriteFault::new()) as Arc<dyn WriteFault>),
+                ..StoreOptions::default()
+            },
+        )),
     )
     .expect("open fault-on store");
-    for wire in &jobs {
-        let request = wire.to_request(1_000_000).expect("wire converts");
-        fault_off.tune(request).expect("warm fault-off");
-        let request = wire.to_request(1_000_000).expect("wire converts");
-        fault_on.tune(request).expect("warm fault-on");
-    }
-    let mut fault_on_samples = Vec::with_capacity(overhead_rounds * jobs.len());
-    let mut fault_off_samples = Vec::with_capacity(overhead_rounds * jobs.len());
-    for _ in 0..overhead_rounds {
-        for wire in &jobs {
-            let request = wire.to_request(1_000_000).expect("wire converts");
-            let sent = Instant::now();
-            fault_on.tune(request).expect("fault-on submit");
-            fault_on_samples.push(sent.elapsed().as_secs_f64() * 1e6);
-            let request = wire.to_request(1_000_000).expect("wire converts");
-            let sent = Instant::now();
-            fault_off.tune(request).expect("fault-off submit");
-            fault_off_samples.push(sent.elapsed().as_secs_f64() * 1e6);
-        }
-    }
+    let (fault_on_p50, fault_off_p50, fault_ratio) =
+        off_vs_on("fault-layer", &fault_off, &fault_on, &jobs, overhead_rounds);
     fault_off.shutdown();
     fault_on.shutdown();
     let _ = std::fs::remove_dir_all(&fault_base);
-    fault_on_samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    fault_off_samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let fault_on_p50 = percentile(&fault_on_samples, 0.50);
-    let fault_off_p50 = percentile(&fault_off_samples, 0.50);
-    let fault_ratio = fault_off_p50 / fault_on_p50;
-    println!(
-        "fault-layer overhead: installed p50 {fault_on_p50:.2}µs, absent p50 {fault_off_p50:.2}µs, \
-         off/on ratio {fault_ratio:.3} (overhead {:.1}%)",
-        (fault_on_p50 / fault_off_p50 - 1.0) * 100.0
-    );
 
     let metrics = Client::connect(addr).request("GET", "/v1/metrics", None);
     println!("metrics: {}", metrics.body);
@@ -859,9 +818,6 @@ fn main() {
          \"telemetry_on_p50_us\": {telemetry_on_p50:.2},\n  \
          \"telemetry_off_p50_us\": {telemetry_off_p50:.2},\n  \
          \"telemetry_off_vs_on_p50_ratio\": {overhead_ratio:.4},\n  \
-         \"tracing_on_p50_us\": {tracing_on_p50:.2},\n  \
-         \"tracing_off_p50_us\": {tracing_off_p50:.2},\n  \
-         \"tracing_off_vs_on_p50_ratio\": {tracing_ratio:.4},\n  \
          \"fault_layer_on_p50_us\": {fault_on_p50:.2},\n  \
          \"fault_layer_off_p50_us\": {fault_off_p50:.2},\n  \
          \"fault_layer_off_vs_on_p50_ratio\": {fault_ratio:.4},\n  \

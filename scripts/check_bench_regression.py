@@ -32,16 +32,15 @@ Suites (see SUITES below):
   clients), so it gets a loose 3x floor — still far above the 5-10x ratio
   collapse of a real gateway regression (losing keep-alive, an O(n)
   registry scan, a per-request allocation storm). Two observability guards
-  ride along: ``telemetry_off_vs_on_p50_ratio`` (~1.0, floor at 1.20x drop)
-  is the in-run cost of per-job tracing + histogram recording on the warm
-  cache-hit submit path — the design budget is <5% overhead, the guard
-  tolerance is wider because the ~4µs medians of two separate service
-  instances wobble more than that in quick mode, but an instrumentation
-  regression (extra allocation, a lock on the hot path) costs far more than
-  20% at that scale; ``tracing_off_vs_on_p50_ratio`` (~1.0, same 1.20x
-  floor) is the analogous guard for causal span recording — the warm submit
-  p50 with tracing disabled over tracing enabled, proving the
-  mostly-unsampled span path stays off the hot path;
+  ride along, each the median of per-round off/on p50 ratios with the side
+  that runs first alternating every round:
+  ``telemetry_off_vs_on_p50_ratio`` (~1.0, floor at 1.20x drop) is the
+  in-run cost of per-job telemetry (stage stamps, histograms and the
+  mostly-unsampled span recording) on the warm cache-hit submit path — the
+  design budget is <5% overhead, the guard tolerance is wider because the
+  ~4µs medians of two separate service instances wobble more than that in
+  quick mode, but an instrumentation regression (extra allocation, a lock
+  on the hot path) costs far more than 20% at that scale;
   ``fault_layer_off_vs_on_p50_ratio`` (~1.0, same 1.20x
   floor) is the analogous guard for the chaos fault-injection layer — the
   warm submit p50 of a durable service with the write-fault hook installed
@@ -102,7 +101,6 @@ SUITES = {
         "scalars": [
             ("inprocess_vs_http_p50_ratio", 3.00),
             ("telemetry_off_vs_on_p50_ratio", 1.20),
-            ("tracing_off_vs_on_p50_ratio", 1.20),
             ("fault_layer_off_vs_on_p50_ratio", 1.20),
             ("idle_herd_held_ratio", 1.10),
             ("open_loop_p50_vs_closed_p50_ratio", 6.00, "ceiling"),

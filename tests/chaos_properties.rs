@@ -137,13 +137,16 @@ fn run_schedule(seed: u64) {
         .filter(|(label, _)| label.starts_with("chaos"))
         .map(|(_, job)| Arc::new(ChaosRate::new(job.rate_model.clone())))
         .collect();
-    let service = TuningService::recover_with(
+    let service = TuningService::boot(
         config,
-        &dir,
-        StoreOptions {
-            write_fault: Some(fault.clone() as Arc<dyn WriteFault>),
-            ..StoreOptions::default()
-        },
+        None,
+        Some((
+            &dir,
+            StoreOptions {
+                write_fault: Some(fault.clone() as Arc<dyn WriteFault>),
+                ..StoreOptions::default()
+            },
+        )),
     )
     .expect("open durable chaos service");
 
